@@ -4,8 +4,9 @@
 // Measures population fitness evaluation (eval every individual on every
 // row + linear scaling) over LULESH-timestep-like and FTI-checkpoint-like
 // calibration datasets three ways:
-//   - tree-walk: the seed path (recursive Expr::eval per row, fresh
-//     output vector per individual, the seed's own scaling loop);
+//   - tree-walk: the seed path (Expr::eval per row — the value-stack
+//     reference evaluator over the flat pre-order nodes — fresh output
+//     vector per individual, the seed's own scaling loop);
 //   - compiled: ExprProgram batch eval, column-wise over the dataset's
 //     SoA view, buffers reused, ResponseView scaling;
 //   - compiled+parallel: same, fanned out over the shared task pool.
@@ -218,8 +219,8 @@ double linear_scale_mape(const std::vector<double>& f,
                  : 0.0;
 }
 
-/// Seed path: recursive tree walk per row, fresh vector per individual,
-/// seed-style scaling.
+/// Seed path: Expr::eval per row, fresh vector per individual, seed-style
+/// scaling.
 std::vector<double> fitness_tree_walk(const std::vector<model::Expr>& pop,
                                       const model::Dataset& data) {
   std::vector<double> fitness(pop.size());

@@ -33,9 +33,10 @@
 #
 #   - a SIMD pass: the model test suite on the Release tree under each
 #     ExprProgram backend (FTBESST_SIMD=off, =unrolled, and =avx2 when the
-#     host has it — the bit-identity property tests must hold on whichever
-#     backend actually dispatches), plus the bench_ext_simd divergence and
-#     speedup gates.
+#     host has it — the bit-identity property tests and the golden symreg
+#     champions must hold on whichever backend actually dispatches), plus
+#     the bench_ext_simd divergence and speedup gates and the
+#     bench_ext_symreg divergence gate.
 #
 #   - a DES-scaling pass: the sim and verify test binaries (incremental-
 #     round parallel engine, symmetry folding, fold-vs-unfold bit
@@ -286,7 +287,8 @@ fi
 if [ "$run_simd" = 1 ]; then
   echo "== SIMD pass (model suite per backend + bench gates) =="
   cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
-  cmake --build build-release -j "$jobs" --target test_model bench_ext_simd
+  cmake --build build-release -j "$jobs" --target test_model bench_ext_simd \
+    bench_ext_symreg
   # The model suite under each forced backend: the same bit-identity
   # property tests must pass whichever interpreter actually dispatches.
   # (The per-backend property tests inside the suite force their own
@@ -299,12 +301,16 @@ if [ "$run_simd" = 1 ]; then
     fi
     echo "-- model suite with FTBESST_SIMD=$backend"
     FTBESST_SIMD="$backend" ctest --test-dir build-release \
-      --output-on-failure -LE slow -j "$jobs" -R '^(ExprSimd|ExprProgram|EvalBackendApi|AlignedBuffer|DatasetAligned|PredictBatch|SymRegParallel|Dataset)'
+      --output-on-failure -LE slow -j "$jobs" -R '^(ExprSimd|ExprProgram|ExprFlat|EvalBackendApi|AlignedBuffer|DatasetAligned|PredictBatch|SymRegParallel|SymRegGolden|Dataset)'
   done
   # bench_ext_simd exits non-zero on any bitwise divergence from Expr::eval
   # or if the DSE-sweep speedup gates (unrolled >= 1.8x, avx2 >= 4x at one
   # thread) fail.
   ./build-release/bench/bench_ext_simd > build-release/bench_ext_simd.json
+  # bench_ext_symreg exits non-zero on any bitwise divergence: compiled
+  # programs vs Expr::eval per row, serial vs pooled fitness, and the
+  # 1-thread vs N-thread champion of a full fit. No speed floor.
+  ./build-release/bench/bench_ext_symreg > build-release/bench_ext_symreg.json
   echo "simd pass: per-backend suites + divergence/speedup gates passed"
 fi
 

@@ -2,107 +2,78 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 
+#include "model/expr_ops.hpp"
+
 namespace ftbesst::model {
 
 namespace {
 
-std::unique_ptr<ExprNode> clone_node(const ExprNode* n) {
-  if (!n) return nullptr;
-  auto out = std::make_unique<ExprNode>();
-  out->op = n->op;
-  out->value = n->value;
-  out->var = n->var;
-  out->lhs = clone_node(n->lhs.get());
-  out->rhs = clone_node(n->rhs.get());
+using Nodes = std::vector<ExprNode>;
+
+/// One past the last node of the subtree rooted at `i`: walk forward until
+/// every operand slot opened since `i` has been filled.
+std::size_t subtree_end(std::span<const ExprNode> nodes, std::size_t i) {
+  std::size_t open = 1;
+  while (open > 0) open += static_cast<std::size_t>(arity(nodes[i++].op)) - 1;
+  return i;
+}
+
+/// `nodes` with the subtree at `site` replaced by what `fill` appends.
+template <typename Fill>
+Nodes splice(const Nodes& nodes, std::size_t site, Fill fill) {
+  Nodes out(nodes.begin(), nodes.begin() + site);
+  fill(out);
+  out.insert(out.end(), nodes.begin() + subtree_end(nodes, site), nodes.end());
   return out;
 }
 
-double eval_node(const ExprNode* n, std::span<const double> vars) {
-  switch (n->op) {
+/// Append `e`'s nodes as an operand; an empty operand is the constant 0.
+void append_operand(Nodes& out, const Expr& e) {
+  if (e.empty())
+    out.push_back(ExprNode{});
+  else
+    out.insert(out.end(), e.nodes().begin(), e.nodes().end());
+}
+
+void str_node(std::span<const ExprNode> nodes, std::size_t& pos,
+              std::span<const std::string> names, std::ostringstream& os) {
+  const ExprNode& n = nodes[pos++];
+  const char* infix = nullptr;
+  switch (n.op) {
     case Op::kConst:
-      return n->value;
+      os << n.value;
+      return;
     case Op::kVar:
-      return n->var < vars.size() ? vars[n->var] : 0.0;
-    case Op::kAdd:
-      return eval_node(n->lhs.get(), vars) + eval_node(n->rhs.get(), vars);
-    case Op::kSub:
-      return eval_node(n->lhs.get(), vars) - eval_node(n->rhs.get(), vars);
-    case Op::kMul:
-      return eval_node(n->lhs.get(), vars) * eval_node(n->rhs.get(), vars);
-    case Op::kDiv: {
-      const double num = eval_node(n->lhs.get(), vars);
-      const double den = eval_node(n->rhs.get(), vars);
-      return std::abs(den) < 1e-9 ? num : num / den;
-    }
-    case Op::kLog:
-      return std::log(std::abs(eval_node(n->lhs.get(), vars)) + 1.0);
-    case Op::kSqrt:
-      return std::sqrt(std::abs(eval_node(n->lhs.get(), vars)));
-  }
-  return 0.0;
-}
-
-std::size_t size_node(const ExprNode* n) {
-  if (!n) return 0;
-  return 1 + size_node(n->lhs.get()) + size_node(n->rhs.get());
-}
-
-int depth_node(const ExprNode* n) {
-  if (!n) return 0;
-  return 1 + std::max(depth_node(n->lhs.get()), depth_node(n->rhs.get()));
-}
-
-void collect(ExprNode* n, std::vector<ExprNode*>& out) {
-  if (!n) return;
-  out.push_back(n);
-  collect(n->lhs.get(), out);
-  collect(n->rhs.get(), out);
-}
-
-std::string str_node(const ExprNode* n, std::span<const std::string> names) {
-  if (!n) return "0";
-  std::ostringstream os;
-  switch (n->op) {
-    case Op::kConst:
-      os << n->value;
-      break;
-    case Op::kVar:
-      if (n->var < names.size())
-        os << names[n->var];
+      if (n.var < names.size())
+        os << names[n.var];
       else
-        os << "x" << n->var;
-      break;
-    case Op::kAdd:
-      os << "(" << str_node(n->lhs.get(), names) << " + "
-         << str_node(n->rhs.get(), names) << ")";
-      break;
-    case Op::kSub:
-      os << "(" << str_node(n->lhs.get(), names) << " - "
-         << str_node(n->rhs.get(), names) << ")";
-      break;
-    case Op::kMul:
-      os << "(" << str_node(n->lhs.get(), names) << " * "
-         << str_node(n->rhs.get(), names) << ")";
-      break;
-    case Op::kDiv:
-      os << "(" << str_node(n->lhs.get(), names) << " / "
-         << str_node(n->rhs.get(), names) << ")";
-      break;
+        os << "x" << n.var;
+      return;
     case Op::kLog:
-      os << "log1p|" << str_node(n->lhs.get(), names) << "|";
-      break;
     case Op::kSqrt:
-      os << "sqrt|" << str_node(n->lhs.get(), names) << "|";
-      break;
+      os << (n.op == Op::kLog ? "log1p|" : "sqrt|");
+      str_node(nodes, pos, names, os);
+      os << "|";
+      return;
+    case Op::kAdd: infix = " + "; break;
+    case Op::kSub: infix = " - "; break;
+    case Op::kMul: infix = " * "; break;
+    case Op::kDiv: infix = " / "; break;
   }
-  return os.str();
+  os << "(";
+  str_node(nodes, pos, names, os);
+  os << infix;
+  str_node(nodes, pos, names, os);
+  os << ")";
 }
 
 /// Log-uniform constant in [1e-6, 100), signed positive (timing terms are
@@ -111,135 +82,177 @@ double random_constant(util::Rng& rng) {
   return std::pow(10.0, rng.uniform(-6.0, 2.0));
 }
 
-std::unique_ptr<ExprNode> random_node(util::Rng& rng, std::size_t num_vars,
-                                      int max_depth) {
-  auto node = std::make_unique<ExprNode>();
+/// Grow a random subtree onto `out` in pre-order. Each node's op is drawn
+/// before its operands, so the RNG is consumed in pre-order too.
+void random_node(util::Rng& rng, std::size_t num_vars, int max_depth,
+                 Nodes& out) {
+  ExprNode node;
   const double roll = rng.uniform();
   const bool terminal = max_depth <= 1 || roll < 0.25;
   if (terminal) {
     if (num_vars > 0 && rng.uniform() < 0.6) {
-      node->op = Op::kVar;
-      node->var = rng.uniform_int(num_vars);
+      node.op = Op::kVar;
+      node.var = static_cast<std::uint32_t>(rng.uniform_int(num_vars));
     } else {
-      node->op = Op::kConst;
-      node->value = random_constant(rng);
+      node.op = Op::kConst;
+      node.value = random_constant(rng);
     }
-    return node;
+    out.push_back(node);
+    return;
   }
   if (roll < 0.40) {  // unary
-    node->op = rng.uniform() < 0.5 ? Op::kLog : Op::kSqrt;
-    node->lhs = random_node(rng, num_vars, max_depth - 1);
-    return node;
+    node.op = rng.uniform() < 0.5 ? Op::kLog : Op::kSqrt;
+    out.push_back(node);
+    random_node(rng, num_vars, max_depth - 1, out);
+    return;
   }
   constexpr Op kBinary[] = {Op::kAdd, Op::kSub, Op::kMul, Op::kDiv};
   // Bias toward multiplication — performance models are mostly products of
   // powers of the parameters.
   const double pick = rng.uniform();
-  node->op = pick < 0.4   ? Op::kMul
-             : pick < 0.6 ? Op::kAdd
-             : pick < 0.8 ? Op::kDiv
-                          : kBinary[1];
-  node->lhs = random_node(rng, num_vars, max_depth - 1);
-  node->rhs = random_node(rng, num_vars, max_depth - 1);
-  return node;
+  node.op = pick < 0.4   ? Op::kMul
+            : pick < 0.6 ? Op::kAdd
+            : pick < 0.8 ? Op::kDiv
+                         : kBinary[1];
+  out.push_back(node);
+  random_node(rng, num_vars, max_depth - 1, out);
+  random_node(rng, num_vars, max_depth - 1, out);
 }
 
 }  // namespace
 
 Expr Expr::constant(double v) {
-  auto n = std::make_unique<ExprNode>();
-  n->op = Op::kConst;
-  n->value = v;
-  return Expr(std::move(n));
+  Expr e;
+  e.nodes_.push_back(ExprNode{Op::kConst, 0, v});
+  return e;
 }
 
 Expr Expr::variable(std::size_t index) {
-  auto n = std::make_unique<ExprNode>();
-  n->op = Op::kVar;
-  n->var = index;
-  return Expr(std::move(n));
+  if (index > std::numeric_limits<std::uint32_t>::max())
+    throw std::length_error("variable index exceeds 32 bits");
+  Expr e;
+  e.nodes_.push_back(
+      ExprNode{Op::kVar, static_cast<std::uint32_t>(index), 0.0});
+  return e;
 }
 
 Expr Expr::binary(Op op, Expr lhs, Expr rhs) {
-  auto n = std::make_unique<ExprNode>();
-  n->op = op;
-  n->lhs = std::move(lhs.root_);
-  n->rhs = std::move(rhs.root_);
-  return Expr(std::move(n));
+  Expr e;
+  e.nodes_.push_back(ExprNode{op, 0, 0.0});
+  append_operand(e.nodes_, lhs);
+  append_operand(e.nodes_, rhs);
+  return e;
 }
 
 Expr Expr::unary(Op op, Expr operand) {
-  auto n = std::make_unique<ExprNode>();
-  n->op = op;
-  n->lhs = std::move(operand.root_);
-  return Expr(std::move(n));
+  Expr e;
+  e.nodes_.push_back(ExprNode{op, 0, 0.0});
+  append_operand(e.nodes_, operand);
+  return e;
 }
 
 Expr Expr::random(util::Rng& rng, std::size_t num_vars, int max_depth) {
-  return Expr(random_node(rng, num_vars, std::max(1, max_depth)));
+  Expr e;
+  random_node(rng, num_vars, std::max(1, max_depth), e.nodes_);
+  return e;
 }
 
 Expr Expr::crossover(const Expr& a, const Expr& b, util::Rng& rng,
                      std::size_t max_nodes) {
   if (a.empty() || b.empty()) return a.clone();
-  Expr child = a.clone();
-  std::vector<ExprNode*> sites;
-  collect(child.root_.get(), sites);
-  std::vector<ExprNode*> donors;
-  // collect() wants mutable pointers; the donor tree is only read (cloned).
-  collect(const_cast<ExprNode*>(b.root_.get()), donors);
-  ExprNode* site = sites[rng.uniform_int(sites.size())];
-  const ExprNode* donor = donors[rng.uniform_int(donors.size())];
-  auto grafted = clone_node(donor);
-  // Replace the site's contents in place.
-  *site = std::move(*grafted);
-  if (child.size() > max_nodes) return a.clone();
-  return child;
+  // Pre-order indices: the site is drawn from `a`, then the donor from `b`.
+  const std::size_t site = rng.uniform_int(a.size());
+  const std::size_t donor = rng.uniform_int(b.size());
+  Expr child;
+  child.nodes_ = splice(a.nodes_, site, [&](Nodes& out) {
+    out.insert(out.end(), b.nodes_.begin() + donor,
+               b.nodes_.begin() + subtree_end(b.nodes_, donor));
+  });
+  return child.size() > max_nodes ? a.clone() : child;
 }
 
 Expr Expr::mutate(const Expr& e, util::Rng& rng, std::size_t num_vars,
                   int max_depth, std::size_t max_nodes) {
   if (e.empty()) return Expr::random(rng, num_vars, max_depth);
-  Expr out = e.clone();
-  std::vector<ExprNode*> sites;
-  collect(out.root_.get(), sites);
-  ExprNode* site = sites[rng.uniform_int(sites.size())];
+  const std::size_t site = rng.uniform_int(e.size());
   const double roll = rng.uniform();
-  if (site->op == Op::kConst && roll < 0.6) {
+  const Op op = e.nodes_[site].op;
+  Expr out = e;
+  ExprNode& n = out.nodes_[site];
+  if (op == Op::kConst && roll < 0.6) {
     // Jitter the constant multiplicatively (and occasionally re-draw).
-    site->value = rng.uniform() < 0.15
-                      ? random_constant(rng)
-                      : site->value * std::exp(rng.normal(0.0, 0.3));
+    n.value = rng.uniform() < 0.15 ? random_constant(rng)
+                                   : n.value * std::exp(rng.normal(0.0, 0.3));
   } else if (roll < 0.5) {
     // Regrow the subtree.
-    auto fresh = random_node(rng, num_vars, std::max(1, max_depth - 1));
-    *site = std::move(*fresh);
-  } else if (is_binary(site->op)) {
+    out.nodes_ = splice(e.nodes_, site, [&](Nodes& nodes) {
+      random_node(rng, num_vars, std::max(1, max_depth - 1), nodes);
+    });
+  } else if (is_binary(op)) {
     constexpr Op kBinary[] = {Op::kAdd, Op::kSub, Op::kMul, Op::kDiv};
-    site->op = kBinary[rng.uniform_int(4)];
-  } else if (is_unary(site->op)) {
-    site->op = site->op == Op::kLog ? Op::kSqrt : Op::kLog;
-  } else if (site->op == Op::kVar && num_vars > 0) {
-    site->var = rng.uniform_int(num_vars);
+    n.op = kBinary[rng.uniform_int(4)];
+  } else if (is_unary(op)) {
+    n.op = op == Op::kLog ? Op::kSqrt : Op::kLog;
+  } else if (op == Op::kVar && num_vars > 0) {
+    n.var = static_cast<std::uint32_t>(rng.uniform_int(num_vars));
   } else {
-    site->value = random_constant(rng);
+    n.value = random_constant(rng);
   }
-  if (out.size() > max_nodes) return e.clone();
-  return out;
+  return out.size() > max_nodes ? e.clone() : out;
 }
 
 double Expr::eval(std::span<const double> vars) const {
-  if (!root_) return 0.0;
-  const double v = eval_node(root_.get(), vars);
+  if (nodes_.empty()) return 0.0;
+  // Reverse pre-order visits every operand before its operator, so one
+  // value stack suffices; the lhs operand is on top when its operator is
+  // reached. GP trees fit the on-stack buffer; larger ones spill to heap.
+  constexpr std::size_t kStackSlots = 64;
+  double local[kStackSlots];
+  std::vector<double> spill;
+  double* stack = local;
+  if (nodes_.size() > kStackSlots) {
+    spill.resize(nodes_.size());
+    stack = spill.data();
+  }
+  double* top = stack;  // one past the top value
+  for (auto it = nodes_.rbegin(); it != nodes_.rend(); ++it) {
+    switch (it->op) {
+      case Op::kConst: *top++ = it->value; break;
+      case Op::kVar:
+        *top++ = it->var < vars.size() ? vars[it->var] : 0.0;
+        break;
+      case Op::kAdd: --top; top[-1] = detail::op_add(top[0], top[-1]); break;
+      case Op::kSub: --top; top[-1] = detail::op_sub(top[0], top[-1]); break;
+      case Op::kMul: --top; top[-1] = detail::op_mul(top[0], top[-1]); break;
+      case Op::kDiv: --top; top[-1] = detail::op_div(top[0], top[-1]); break;
+      case Op::kLog: top[-1] = detail::op_log(top[-1]); break;
+      case Op::kSqrt: top[-1] = detail::op_sqrt(top[-1]); break;
+    }
+  }
+  const double v = stack[0];
   return std::isfinite(v) ? v : 0.0;
 }
 
-std::size_t Expr::size() const noexcept { return size_node(root_.get()); }
-int Expr::depth() const noexcept { return depth_node(root_.get()); }
-Expr Expr::clone() const { return Expr(clone_node(root_.get())); }
+int Expr::depth() const {
+  // Reverse pre-order again: each subtree's depth replaces its operands'.
+  std::vector<int> stack;
+  for (auto it = nodes_.rbegin(); it != nodes_.rend(); ++it) {
+    int d = 0;
+    for (int k = 0; k < arity(it->op); ++k) {
+      d = std::max(d, stack.back());
+      stack.pop_back();
+    }
+    stack.push_back(d + 1);
+  }
+  return stack.empty() ? 0 : stack.back();
+}
 
 std::string Expr::str(std::span<const std::string> names) const {
-  return str_node(root_.get(), names);
+  if (nodes_.empty()) return "0";
+  std::ostringstream os;
+  std::size_t pos = 0;
+  str_node(nodes_, pos, names, os);
+  return os.str();
 }
 
 namespace {
@@ -258,45 +271,18 @@ const char* op_name(Op op) {
   return "?";
 }
 
-void sexpr_node(const ExprNode* n, std::ostringstream& os) {
-  if (!n) {
-    os << "(const 0)";
-    return;
-  }
-  os << '(' << op_name(n->op);
-  switch (n->op) {
-    case Op::kConst:
-      // max_digits10 so the value round-trips bit-exactly.
-      os.precision(17);
-      os << ' ' << n->value;
-      break;
-    case Op::kVar:
-      os << ' ' << n->var;
-      break;
-    default:
-      os << ' ';
-      sexpr_node(n->lhs.get(), os);
-      if (is_binary(n->op)) {
-        os << ' ';
-        sexpr_node(n->rhs.get(), os);
-      }
-      break;
-  }
-  os << ')';
-}
-
-/// Minimal recursive-descent S-expression parser.
+/// Minimal recursive-descent S-expression parser, emitting pre-order.
 class SexprParser {
  public:
   explicit SexprParser(const std::string& text) : text_(text) {}
 
-  std::unique_ptr<ExprNode> parse() {
-    auto node = parse_node();
+  Nodes parse() {
+    parse_node();
     skip_ws();
     if (pos_ != text_.size())
       throw std::invalid_argument("trailing input in expression: '" +
                                   text_.substr(pos_) + "'");
-    return node;
+    return std::move(out_);
   }
 
  private:
@@ -323,22 +309,27 @@ class SexprParser {
     return text_.substr(start, pos_ - start);
   }
 
-  // stod/stoul also throw std::out_of_range; a malformed expression must
-  // surface as invalid_argument only (the documented contract for every
-  // parser fed untrusted text), so the raw conversions are wrapped.
+  // A malformed expression must surface as invalid_argument only (the
+  // documented contract for every parser fed untrusted text). strtod
+  // rather than stod: stod also rejects subnormal results, which to_sexpr
+  // prints for subnormal constants. Overflow and underflow to zero are
+  // still rejected, as stod rejected them.
   double number_token() {
     const std::string t = token();
-    try {
-      return std::stod(t);
-    } catch (const std::exception&) {
+    errno = 0;
+    char* end = nullptr;
+    const double v = std::strtod(t.c_str(), &end);
+    if (end == t.c_str() ||
+        (errno == ERANGE && (v == 0.0 || std::isinf(v))))
       throw std::invalid_argument("bad numeric token '" + t + "'");
-    }
+    return v;
   }
-  std::size_t index_token() {
+  // stoul also throws std::out_of_range, so it is wrapped.
+  std::uint32_t index_token() {
     const std::string t = token();
-    std::size_t index = 0;
+    unsigned long index = 0;
     try {
-      index = static_cast<std::size_t>(std::stoul(t));
+      index = std::stoul(t);
     } catch (const std::exception&) {
       throw std::invalid_argument("bad variable index '" + t + "'");
     }
@@ -347,136 +338,181 @@ class SexprParser {
     // wrong exception type.
     if (index > std::numeric_limits<std::uint16_t>::max())
       throw std::invalid_argument("variable index out of range '" + t + "'");
-    return index;
+    return static_cast<std::uint32_t>(index);
   }
 
-  std::unique_ptr<ExprNode> parse_node() {
+  void parse_node() {
     // Recursion depth is attacker-controlled ("(log (log (log ..."); cap it
     // well above any fitted expression but below stack exhaustion.
     if (++depth_ > 256)
       throw std::invalid_argument("expression nesting too deep");
     expect('(');
     const std::string op = token();
-    auto node = std::make_unique<ExprNode>();
+    ExprNode node;
+    int operands = 0;
     if (op == "const") {
-      node->op = Op::kConst;
-      node->value = number_token();
+      node.op = Op::kConst;
+      node.value = number_token();
     } else if (op == "var") {
-      node->op = Op::kVar;
-      node->var = index_token();
+      node.op = Op::kVar;
+      node.var = index_token();
     } else if (op == "log" || op == "sqrt") {
-      node->op = op == "log" ? Op::kLog : Op::kSqrt;
-      node->lhs = parse_node();
+      node.op = op == "log" ? Op::kLog : Op::kSqrt;
+      operands = 1;
     } else if (op == "add" || op == "sub" || op == "mul" || op == "div") {
-      node->op = op == "add"   ? Op::kAdd
-                 : op == "sub" ? Op::kSub
-                 : op == "mul" ? Op::kMul
-                               : Op::kDiv;
-      node->lhs = parse_node();
-      node->rhs = parse_node();
+      node.op = op == "add"   ? Op::kAdd
+                : op == "sub" ? Op::kSub
+                : op == "mul" ? Op::kMul
+                              : Op::kDiv;
+      operands = 2;
     } else {
       throw std::invalid_argument("unknown operator '" + op + "'");
     }
+    out_.push_back(node);
+    for (int k = 0; k < operands; ++k) parse_node();
     expect(')');
     --depth_;
-    return node;
   }
 
   const std::string& text_;
   std::size_t pos_ = 0;
   int depth_ = 0;
+  Nodes out_;
 };
 
 }  // namespace
 
 std::string Expr::to_sexpr() const {
+  if (nodes_.empty()) return "(const 0)";
   std::ostringstream os;
-  sexpr_node(root_.get(), os);
+  os.precision(17);  // max_digits10: every constant round-trips bit-exactly
+  // Pre-order is the S-expression's own token order; only the closing
+  // parentheses need tracking: `open` holds each pending operator's
+  // unfilled operand slots.
+  std::vector<int> open;
+  for (const ExprNode& n : nodes_) {
+    os << '(' << op_name(n.op) << ' ';
+    if (n.op == Op::kConst) {
+      os << n.value << ')';
+    } else if (n.op == Op::kVar) {
+      os << n.var << ')';
+    } else {
+      open.push_back(arity(n.op));
+      continue;
+    }
+    // A leaf closed; close every operator it completes.
+    while (!open.empty() && --open.back() == 0) {
+      open.pop_back();
+      os << ')';
+    }
+    if (!open.empty()) os << ' ';
+  }
   return os.str();
 }
 
 Expr Expr::from_sexpr(const std::string& text) {
-  return Expr(SexprParser(text).parse());
+  Expr e;
+  e.nodes_ = SexprParser(text).parse();
+  return e;
 }
 
 namespace {
 
-bool is_const(const ExprNode* n, double value) {
-  return n && n->op == Op::kConst && n->value == value;
+bool is_const(const Nodes& out, std::size_t i, std::size_t end, double value) {
+  return end == i + 1 && out[i].op == Op::kConst && out[i].value == value;
 }
 
-std::unique_ptr<ExprNode> make_const(double v) {
-  auto n = std::make_unique<ExprNode>();
-  n->op = Op::kConst;
-  n->value = v;
-  return n;
-}
-
-bool nodes_identical(const ExprNode* a, const ExprNode* b) {
-  if (!a || !b) return a == b;
-  if (a->op != b->op) return false;
-  switch (a->op) {
-    case Op::kConst: return a->value == b->value;
-    case Op::kVar: return a->var == b->var;
-    default:
-      return nodes_identical(a->lhs.get(), b->lhs.get()) &&
-             nodes_identical(a->rhs.get(), b->rhs.get());
+/// Structural equality of the spans [a, b) and [b, end): same ops node for
+/// node, constants equal by value (so 0 == -0, NaN != NaN), same variables.
+bool spans_identical(const Nodes& out, std::size_t a, std::size_t b,
+                     std::size_t end) {
+  if (b - a != end - b) return false;
+  for (std::size_t i = a, j = b; i < b; ++i, ++j) {
+    const ExprNode& x = out[i];
+    const ExprNode& y = out[j];
+    if (x.op != y.op) return false;
+    if (x.op == Op::kConst && x.value != y.value) return false;
+    if (x.op == Op::kVar && x.var != y.var) return false;
   }
+  return true;
 }
 
-std::unique_ptr<ExprNode> simplify_node(const ExprNode* n) {
-  if (!n) return nullptr;
-  if (n->op == Op::kConst || n->op == Op::kVar) return clone_node(n);
+/// Simplify the subtree at `nodes[pos]` bottom-up, appending the result to
+/// `out` in pre-order. An operator lands at `at`, its simplified lhs at
+/// [at + 1, mid), its rhs at [mid, end); each rule then rewrites that tail
+/// of `out` in place: fold to one constant, or keep one operand's span.
+void simplify_node(std::span<const ExprNode> nodes, std::size_t& pos,
+                   Nodes& out) {
+  const ExprNode n = nodes[pos++];
+  const std::size_t at = out.size();
+  out.push_back(n);
+  if (arity(n.op) == 0) return;
+  simplify_node(nodes, pos, out);
+  const std::size_t mid = out.size();
+  if (is_binary(n.op)) simplify_node(nodes, pos, out);
+  const std::size_t end = out.size();
 
-  auto out = std::make_unique<ExprNode>();
-  out->op = n->op;
-  out->lhs = simplify_node(n->lhs.get());
-  out->rhs = simplify_node(n->rhs.get());
-  const ExprNode* l = out->lhs.get();
-  const ExprNode* r = out->rhs.get();
+  const auto fold = [&](double v) {
+    out.resize(at);
+    out.push_back(ExprNode{Op::kConst, 0, v});
+  };
+  const auto keep_lhs = [&] {
+    out.resize(mid);
+    out.erase(out.begin() + at);
+  };
+  const auto keep_rhs = [&] { out.erase(out.begin() + at, out.begin() + mid); };
 
   // Constant folding: every operand a literal -> evaluate with the same
   // protected semantics as eval().
-  const bool lc = l && l->op == Op::kConst;
-  const bool rc = r && r->op == Op::kConst;
-  switch (out->op) {
+  const bool lc = mid == at + 2 && out[at + 1].op == Op::kConst;
+  const bool rc = end == mid + 1 && out[mid].op == Op::kConst;
+  const double l = lc ? out[at + 1].value : 0.0;
+  const double r = rc ? out[mid].value : 0.0;
+  const bool l0 = is_const(out, at + 1, mid, 0.0);
+  const bool l1 = is_const(out, at + 1, mid, 1.0);
+  const bool r0 = is_const(out, mid, end, 0.0);
+  const bool r1 = is_const(out, mid, end, 1.0);
+  switch (n.op) {
     case Op::kAdd:
-      if (lc && rc) return make_const(l->value + r->value);
-      if (is_const(l, 0.0)) return std::move(out->rhs);
-      if (is_const(r, 0.0)) return std::move(out->lhs);
+      if (lc && rc) return fold(l + r);
+      if (l0) return keep_rhs();
+      if (r0) return keep_lhs();
       break;
     case Op::kSub:
-      if (lc && rc) return make_const(l->value - r->value);
-      if (is_const(r, 0.0)) return std::move(out->lhs);
-      if (nodes_identical(l, r)) return make_const(0.0);
+      if (lc && rc) return fold(l - r);
+      if (r0) return keep_lhs();
+      if (spans_identical(out, at + 1, mid, end)) return fold(0.0);
       break;
     case Op::kMul:
-      if (lc && rc) return make_const(l->value * r->value);
-      if (is_const(l, 1.0)) return std::move(out->rhs);
-      if (is_const(r, 1.0)) return std::move(out->lhs);
-      if (is_const(l, 0.0) || is_const(r, 0.0)) return make_const(0.0);
+      if (lc && rc) return fold(l * r);
+      if (l1) return keep_rhs();
+      if (r1) return keep_lhs();
+      if (l0 || r0) return fold(0.0);
       break;
     case Op::kDiv:
-      if (lc && rc)
-        return make_const(std::abs(r->value) < 1e-9 ? l->value
-                                                    : l->value / r->value);
-      if (is_const(r, 1.0)) return std::move(out->lhs);
-      if (is_const(l, 0.0)) return make_const(0.0);
+      if (lc && rc) return fold(detail::op_div(l, r));
+      if (r1) return keep_lhs();
+      if (l0) return fold(0.0);
       break;
     case Op::kLog:
-      if (lc) return make_const(std::log(std::abs(l->value) + 1.0));
+      if (lc) return fold(detail::op_log(l));
       break;
     case Op::kSqrt:
-      if (lc) return make_const(std::sqrt(std::abs(l->value)));
+      if (lc) return fold(detail::op_sqrt(l));
       break;
     default:
       break;
   }
-  return out;
 }
 
 }  // namespace
 
-Expr Expr::simplified() const { return Expr(simplify_node(root_.get())); }
+Expr Expr::simplified() const {
+  Expr e;
+  e.nodes_.reserve(nodes_.size());
+  std::size_t pos = 0;
+  if (!nodes_.empty()) simplify_node(nodes_, pos, e.nodes_);
+  return e;
+}
 
 }  // namespace ftbesst::model

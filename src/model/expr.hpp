@@ -1,13 +1,18 @@
 #pragma once
 // Expression trees for symbolic regression.
 //
+// An Expr stores its tree as one flat pre-order array of POD nodes: each
+// operator node is followed by its operand subtrees, lhs first. A subtree
+// is therefore a contiguous span, so copying is one vector copy, size() is
+// O(1), and crossover/mutation are span splices — the GP loop breeds
+// thousands of trees per generation and never allocates per node.
+//
 // Operators are "protected" in the usual GP sense (division by ~0 returns
 // the numerator, log/sqrt take magnitudes) so that every tree is total over
 // the whole parameter space and evolution never has to reason about domain
 // errors.
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -34,20 +39,26 @@ enum class Op : std::uint8_t {
   return op == Op::kLog || op == Op::kSqrt;
 }
 
+/// One node of the pre-order array. Only the field named by `op` is read.
 struct ExprNode {
   Op op = Op::kConst;
-  double value = 0.0;    // kConst
-  std::size_t var = 0;   // kVar
-  std::unique_ptr<ExprNode> lhs;
-  std::unique_ptr<ExprNode> rhs;
+  std::uint32_t var = 0;  // kVar
+  double value = 0.0;     // kConst
 };
+
+/// Operand count of `op`: 0 for leaves, 1 for log/sqrt, 2 for arithmetic.
+[[nodiscard]] constexpr int arity(Op op) noexcept {
+  return is_binary(op) ? 2 : is_unary(op) ? 1 : 0;
+}
 
 class Expr {
  public:
   Expr() = default;  // empty; eval() of an empty Expr returns 0
 
   [[nodiscard]] static Expr constant(double v);
+  /// Throws std::length_error for an index that does not fit 32 bits.
   [[nodiscard]] static Expr variable(std::size_t index);
+  /// An empty operand stands for the constant 0 (as to_sexpr renders it).
   [[nodiscard]] static Expr binary(Op op, Expr lhs, Expr rhs);
   [[nodiscard]] static Expr unary(Op op, Expr operand);
 
@@ -80,15 +91,19 @@ class Expr {
   //     result is clamped: a non-finite root value evaluates to 0.0.
   // Operations are never reassociated or contracted, so any two evaluators
   // agree on every input. This is what lets SymReg memoize and batch-compile
-  // fitness while keeping tree-walk eval() as the reference oracle.
+  // fitness while keeping eval() as the reference oracle: a value-stack loop
+  // over the nodes in reverse pre-order (a leaf pushes, an operator pops its
+  // operands and pushes the result), independent of the bytecode compiler.
   [[nodiscard]] double eval(std::span<const double> vars) const;
-  /// Read-only view of the tree root (used by the ExprProgram compiler and
-  /// structural inspections). Null for an empty expression.
-  [[nodiscard]] const ExprNode* root() const noexcept { return root_.get(); }
-  [[nodiscard]] std::size_t size() const noexcept;  ///< node count
-  [[nodiscard]] int depth() const noexcept;
-  [[nodiscard]] bool empty() const noexcept { return root_ == nullptr; }
-  [[nodiscard]] Expr clone() const;
+  /// The nodes in pre-order (read by the ExprProgram compiler and the
+  /// symreg memo key). Empty for an empty expression.
+  [[nodiscard]] std::span<const ExprNode> nodes() const noexcept {
+    return nodes_;
+  }
+  [[nodiscard]] std::size_t size() const noexcept { return nodes_.size(); }
+  [[nodiscard]] int depth() const;
+  [[nodiscard]] bool empty() const noexcept { return nodes_.empty(); }
+  [[nodiscard]] Expr clone() const { return *this; }
   /// Render with the given variable names (falls back to x0,x1,...).
   [[nodiscard]] std::string str(
       std::span<const std::string> names = {}) const;
@@ -108,11 +123,7 @@ class Expr {
   [[nodiscard]] Expr simplified() const;
 
  private:
-  explicit Expr(std::unique_ptr<ExprNode> root) : root_(std::move(root)) {}
-
-  std::unique_ptr<ExprNode> root_;
-
-  friend class SymbolicRegressor;
+  std::vector<ExprNode> nodes_;  // pre-order; empty for an empty Expr
 };
 
 }  // namespace ftbesst::model

@@ -1,10 +1,10 @@
 #pragma once
 // The protected scalar kernels of the Expr semantics contract (expr.hpp),
-// shared by every evaluator that must agree with Expr::eval bit for bit:
-// the ExprProgram constant folder, the scalar bytecode interpreter, and
-// the scalar lanes of the unrolled/AVX2 batch backends (expr_simd.*).
-// Expr::eval itself inlines the same operations; any change here must be
-// mirrored there (and will be caught by tests/model/test_expr_program.cpp).
+// shared by every evaluator that must agree bit for bit: Expr::eval and
+// the constant folder of Expr::simplified, the ExprProgram constant
+// folder, the scalar bytecode interpreter, and the scalar lanes of the
+// unrolled/AVX2 batch backends (expr_simd.*). Agreement is checked by
+// tests/model/test_expr_program.cpp.
 
 #include <cmath>
 

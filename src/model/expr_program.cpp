@@ -57,34 +57,37 @@ class Compiler {
     std::uint16_t idx = 0;
   };
 
-  Value compile_node(const ExprNode* n, std::vector<ProgInstr>& code) {
-    ++visited_;
-    switch (n->op) {
+  /// Lower the subtree at `nodes[pos]`, advancing `pos` past it. Operands
+  /// are lowered lhs first, so code is emitted in post-order.
+  Value compile_node(std::span<const ExprNode> nodes, std::size_t& pos,
+                     std::vector<ProgInstr>& code) {
+    const ExprNode& n = nodes[pos++];
+    switch (n.op) {
       case Op::kConst:
-        return Value{Value::kConstV, n->value, 0};
+        return Value{Value::kConstV, n.value, 0};
       case Op::kVar:
-        if (n->var > std::numeric_limits<std::uint16_t>::max())
+        if (n.var > std::numeric_limits<std::uint16_t>::max())
           throw std::length_error("variable index exceeds program limits");
-        return Value{Value::kColV, 0.0, static_cast<std::uint16_t>(n->var)};
+        return Value{Value::kColV, 0.0, static_cast<std::uint16_t>(n.var)};
       case Op::kLog:
       case Op::kSqrt: {
-        const Value a = compile_node(n->lhs.get(), code);
+        const Value a = compile_node(nodes, pos, code);
         if (a.kind == Value::kConstV) {
           const double folded =
-              n->op == Op::kLog ? op_log(a.constant) : op_sqrt(a.constant);
+              n.op == Op::kLog ? op_log(a.constant) : op_sqrt(a.constant);
           return Value{Value::kConstV, folded, 0};
         }
         ProgInstr instr;
-        instr.op = n->op;
+        instr.op = n.op;
         set_operand(instr.a_src, instr.a, instr.value, a);
         return Value{Value::kRegV, 0.0, emit(instr, code)};
       }
       default: {  // binary arithmetic
-        const Value a = compile_node(n->lhs.get(), code);
-        const Value b = compile_node(n->rhs.get(), code);
+        const Value a = compile_node(nodes, pos, code);
+        const Value b = compile_node(nodes, pos, code);
         if (a.kind == Value::kConstV && b.kind == Value::kConstV) {
           double folded = 0.0;
-          switch (n->op) {
+          switch (n.op) {
             case Op::kAdd: folded = op_add(a.constant, b.constant); break;
             case Op::kSub: folded = op_sub(a.constant, b.constant); break;
             case Op::kMul: folded = op_mul(a.constant, b.constant); break;
@@ -94,7 +97,7 @@ class Compiler {
           return Value{Value::kConstV, folded, 0};
         }
         ProgInstr instr;
-        instr.op = n->op;
+        instr.op = n.op;
         set_operand(instr.a_src, instr.a, instr.value, a);
         set_operand(instr.b_src, instr.b, instr.value, b);
         return Value{Value::kRegV, 0.0, emit(instr, code)};
@@ -119,8 +122,6 @@ class Compiler {
   [[nodiscard]] std::uint16_t next_reg() const noexcept {
     return static_cast<std::uint16_t>(next_);
   }
-
-  [[nodiscard]] std::size_t visited() const noexcept { return visited_; }
 
  private:
   static void set_operand(Src& src, std::uint16_t& idx, double& value,
@@ -165,7 +166,6 @@ class Compiler {
 
   static constexpr std::uint32_t kNotFound = 0xffffffffu;
   std::uint32_t next_ = 0;
-  std::size_t visited_ = 0;
 };
 
 inline bool prog_is_binary(Op op) {
@@ -317,10 +317,12 @@ void ExprProgram::compile_into(const Expr& expr, ExprProgram& out) {
   out.tree_nodes_ = 0;
   if (expr.empty()) return;
   Compiler compiler;
-  const Compiler::Value root = compiler.compile_node(expr.root(), out.code_);
+  std::size_t pos = 0;
+  const Compiler::Value root =
+      compiler.compile_node(expr.nodes(), pos, out.code_);
   out.root_ = compiler.materialize(root, out.code_);
   out.regs_ = compiler.next_reg();
-  out.tree_nodes_ = compiler.visited();
+  out.tree_nodes_ = expr.size();
   fuse_unaries(out.code_, out.root_, out.regs_);
 }
 

@@ -1,13 +1,12 @@
 #pragma once
 // Compiled batch evaluation for expression trees.
 //
-// SymReg fitness is the calibration hot loop: every individual of every
-// generation is evaluated on every dataset row. Walking the `Expr` tree
-// per row (recursion, pointer chasing, one switch per node per row) is
-// what the seed did; an ExprProgram instead lowers the tree once into a
-// flat register program — with compile-time constant folding and
-// common-subexpression elimination over the tree's DAG — and evaluates it
-// column-wise over the structure-of-arrays view of a Dataset. The inner
+// SymReg fitness evaluates every new individual of every generation on
+// every dataset row. Interpreting the `Expr` nodes per row (one switch
+// per node per row) is what Expr::eval does; an ExprProgram instead
+// lowers the tree once into a flat register program — with compile-time
+// constant folding and common-subexpression elimination over the tree's
+// DAG — and evaluates it column-wise over the structure-of-arrays view of a Dataset. The inner
 // loop is then one opcode switch per *instruction*, each running a tight
 // vectorizable pass over contiguous doubles.
 //

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -139,6 +140,29 @@ double mape_with_scaling(const ExprProgram& prog, const Dataset& data,
 
 }  // namespace
 
+// Per node in pre-order: one op byte, then a 2-byte variable index or the
+// 8 bytes of a constant. The op byte fixes how many bytes follow, and
+// pre-order with fixed arities fixes the shape, so two expressions share a
+// key exactly when they match node for node with bit-identical constants.
+// That is at least as strict as comparing %.17g S-expressions; the two
+// differ only on NaN constants, which breeding never makes. Only the low
+// 16 bits of a variable index are kept: ExprProgram rejects wider indices,
+// and fit() rejects datasets that would breed them.
+void fitness_memo_key(const Expr& e, std::string& key) {
+  key.clear();
+  for (const ExprNode& n : e.nodes()) {
+    key.push_back(static_cast<char>(n.op));
+    if (n.op == Op::kVar) {
+      key.push_back(static_cast<char>(n.var & 0xff));
+      key.push_back(static_cast<char>(n.var >> 8));
+    } else if (n.op == Op::kConst) {
+      char bytes[sizeof(double)];
+      std::memcpy(bytes, &n.value, sizeof bytes);
+      key.append(bytes, sizeof bytes);
+    }
+  }
+}
+
 ExprModel::ExprModel(Expr expr, double scale, double offset,
                      std::vector<std::string> param_names)
     : expr_(std::move(expr)),
@@ -180,9 +204,11 @@ SymRegResult SymbolicRegressor::fit(const Dataset& train,
                                     const Dataset& test) const {
   FTBESST_OBS_SPAN("model.symreg_fit");
   // Calibration progress: evals counts expensive compile+batch evaluations,
-  // memo_hits the ones the S-expression memo avoided; best_fitness is
-  // observed once per generation.  Pure observation — never touches the RNG
-  // or fitness math, so obs on/off stays bit-identical.
+  // memo_hits the ones the fitness memo avoided; best_fitness is observed
+  // once per generation.  The model.symreg.vary / model.symreg.evaluate
+  // spans split each generation into breeding and fitness.  Pure
+  // observation — never touches the RNG or fitness math, so obs on/off
+  // stays bit-identical.
   static const obs::Counter obs_generations = obs::counter("symreg.generations");
   static const obs::Counter obs_evals = obs::counter("symreg.evals");
   static const obs::Counter obs_memo_hits = obs::counter("symreg.memo_hits");
@@ -191,6 +217,8 @@ SymRegResult SymbolicRegressor::fit(const Dataset& train,
   if (train.empty()) throw std::invalid_argument("empty training set");
   util::Rng rng(config_.seed);
   const std::size_t num_vars = train.num_params();
+  if (num_vars > 65536)
+    throw std::length_error("variable index exceeds program limits");
   const ResponseView ry = make_response_view(train.responses());
   util::TaskPool& pool =
       config_.pool ? *config_.pool : util::TaskPool::shared();
@@ -202,48 +230,51 @@ SymRegResult SymbolicRegressor::fit(const Dataset& train,
     bool evaluated = false;
   };
 
-  // Fitness memo across the whole run, keyed by the canonical S-expression
-  // (round-trippable and structurally unique, so hits are exact — no hash
-  // collision can hand an individual someone else's fitness). Crossover and
-  // mutation re-create the same offspring constantly; a memo hit skips the
-  // whole compile + batch-eval + scaling pipeline.
+  // Fitness memo across the whole run, keyed by fitness_memo_key()
+  // (structurally unique, so hits are exact — no hash collision
+  // can hand an individual someone else's fitness). Crossover and mutation
+  // re-create the same offspring constantly; a memo hit skips the whole
+  // compile + batch-eval + scaling pipeline. An entry is inserted when its
+  // key is first met and filled once its batch has been evaluated.
   struct Evaluated {
     ScaledFit fit;
     double fitness = 0.0;
+    bool ready = false;      // false until its first batch is evaluated
+    std::uint32_t slot = 0;  // that batch's Pending index
   };
   std::unordered_map<std::string, Evaluated> memo;
+  std::string key;  // reused for every lookup
 
   // Evaluate every not-yet-evaluated individual in `pop`: memo lookups and
   // memo insertion run serially (deterministic order), the expensive
   // compile + column-wise evaluation runs on the pool with results written
-  // to per-candidate slots — bit-identical for any worker count.
+  // to per-candidate memo slots — bit-identical for any worker count.
   auto evaluate_population = [&](std::vector<Individual>& inds) {
+    FTBESST_OBS_SPAN("model.symreg.evaluate");
     std::uint64_t memo_hits = 0;
     struct Pending {
       const Expr* expr = nullptr;
-      Evaluated result;
+      Evaluated* entry = nullptr;  // unordered_map nodes never move
       std::vector<std::size_t> targets;  // individuals sharing this key
     };
     std::vector<Pending> pending;
-    std::vector<std::string> pending_keys;
-    std::unordered_map<std::string, std::size_t> batch_index;
     for (std::size_t i = 0; i < inds.size(); ++i) {
       if (inds[i].evaluated) continue;
-      std::string key = inds[i].expr.to_sexpr();
-      if (const auto hit = memo.find(key); hit != memo.end()) {
-        inds[i].fit = hit->second.fit;
-        inds[i].fitness = hit->second.fitness;
+      fitness_memo_key(inds[i].expr, key);
+      const auto [it, fresh] = memo.try_emplace(key);
+      Evaluated& entry = it->second;
+      if (entry.ready) {
+        inds[i].fit = entry.fit;
+        inds[i].fitness = entry.fitness;
         inds[i].evaluated = true;
         ++memo_hits;
         continue;
       }
-      const auto [it, fresh] =
-          batch_index.emplace(std::move(key), pending.size());
       if (fresh) {
-        pending.push_back(Pending{&inds[i].expr, {}, {}});
-        pending_keys.push_back(it->first);
+        entry.slot = static_cast<std::uint32_t>(pending.size());
+        pending.push_back(Pending{&inds[i].expr, &entry, {}});
       }
-      pending[it->second].targets.push_back(i);
+      pending[entry.slot].targets.push_back(i);
     }
 
     util::parallel_for(
@@ -253,21 +284,22 @@ SymRegResult SymbolicRegressor::fit(const Dataset& train,
           thread_local std::vector<double> f;
           thread_local EvalScratch scratch;
           thread_local ExprProgram prog;
-          Pending& work = pending[p];
+          const Pending& work = pending[p];
           ExprProgram::compile_into(*work.expr, prog);
           eval_rows(prog, train, f, scratch);
-          work.result.fit = linear_scale_fit(f, ry);
-          work.result.fitness =
-              work.result.fit.mape +
+          Evaluated& result = *work.entry;
+          result.fit = linear_scale_fit(f, ry);
+          result.fitness =
+              result.fit.mape +
               config_.parsimony * static_cast<double>(work.expr->size());
         },
         pool);
 
-    for (std::size_t p = 0; p < pending.size(); ++p) {
-      memo.emplace(pending_keys[p], pending[p].result);
-      for (std::size_t i : pending[p].targets) {
-        inds[i].fit = pending[p].result.fit;
-        inds[i].fitness = pending[p].result.fitness;
+    for (const Pending& work : pending) {
+      work.entry->ready = true;
+      for (std::size_t i : work.targets) {
+        inds[i].fit = work.entry->fit;
+        inds[i].fitness = work.entry->fitness;
         inds[i].evaluated = true;
       }
     }
@@ -355,43 +387,47 @@ SymRegResult SymbolicRegressor::fit(const Dataset& train,
     if (best_it->fit.mape < config_.target_train_mape) break;
 
     std::vector<Individual> next;
-    next.reserve(pop.size());
-    // Elitism: carry the best few unchanged.
-    std::vector<const Individual*> ranked;
-    ranked.reserve(pop.size());
-    for (const auto& ind : pop) ranked.push_back(&ind);
-    std::partial_sort(ranked.begin(),
-                      ranked.begin() + static_cast<std::ptrdiff_t>(std::min(
-                                           config_.elitism, ranked.size())),
-                      ranked.end(),
-                      [](const Individual* a, const Individual* b) {
-                        return a->fitness < b->fitness;
-                      });
-    for (std::size_t e = 0; e < std::min(config_.elitism, ranked.size()); ++e) {
-      Individual copy;
-      copy.expr = ranked[e]->expr.clone();
-      copy.fit = ranked[e]->fit;
-      copy.fitness = ranked[e]->fitness;
-      copy.evaluated = true;
-      next.push_back(std::move(copy));
-    }
-
-    // Breeding consumes the RNG serially (selection depends only on the
-    // previous generation's fitness), so the offspring set is independent
-    // of the evaluation schedule; fitness happens afterwards in one batch.
-    while (next.size() < pop.size()) {
-      const double roll = rng.uniform();
-      Individual child;
-      if (roll < config_.crossover_prob) {
-        child.expr = Expr::crossover(tournament().expr, tournament().expr,
-                                     rng, config_.max_nodes);
-      } else if (roll < config_.crossover_prob + config_.mutation_prob) {
-        child.expr = Expr::mutate(tournament().expr, rng, num_vars,
-                                  config_.max_depth, config_.max_nodes);
-      } else {
-        child.expr = tournament().expr.clone();
+    {
+      FTBESST_OBS_SPAN("model.symreg.vary");
+      next.reserve(pop.size());
+      // Elitism: carry the best few unchanged.
+      std::vector<const Individual*> ranked;
+      ranked.reserve(pop.size());
+      for (const auto& ind : pop) ranked.push_back(&ind);
+      std::partial_sort(ranked.begin(),
+                        ranked.begin() + static_cast<std::ptrdiff_t>(std::min(
+                                             config_.elitism, ranked.size())),
+                        ranked.end(),
+                        [](const Individual* a, const Individual* b) {
+                          return a->fitness < b->fitness;
+                        });
+      const std::size_t elites = std::min(config_.elitism, ranked.size());
+      for (std::size_t e = 0; e < elites; ++e) {
+        Individual copy;
+        copy.expr = ranked[e]->expr.clone();
+        copy.fit = ranked[e]->fit;
+        copy.fitness = ranked[e]->fitness;
+        copy.evaluated = true;
+        next.push_back(std::move(copy));
       }
-      next.push_back(std::move(child));
+
+      // Breeding consumes the RNG serially (selection depends only on the
+      // previous generation's fitness), so the offspring set is independent
+      // of the evaluation schedule; fitness happens afterwards in one batch.
+      while (next.size() < pop.size()) {
+        const double roll = rng.uniform();
+        Individual child;
+        if (roll < config_.crossover_prob) {
+          child.expr = Expr::crossover(tournament().expr, tournament().expr,
+                                       rng, config_.max_nodes);
+        } else if (roll < config_.crossover_prob + config_.mutation_prob) {
+          child.expr = Expr::mutate(tournament().expr, rng, num_vars,
+                                    config_.max_depth, config_.max_nodes);
+        } else {
+          child.expr = tournament().expr.clone();
+        }
+        next.push_back(std::move(child));
+      }
     }
     evaluate_population(next);
     pop = std::move(next);

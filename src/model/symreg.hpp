@@ -88,6 +88,10 @@ struct SymRegResult {
   std::vector<double> best_history;  ///< best train fitness per generation
 };
 
+/// The fitness memo's exact key of `e`, written into `key` (cleared first):
+/// equal keys mean the same nodes with bit-identical constants.
+void fitness_memo_key(const Expr& e, std::string& key);
+
 class SymbolicRegressor {
  public:
   explicit SymbolicRegressor(SymRegConfig config = {});

@@ -81,6 +81,40 @@ TEST(ExprProgram, PropertyRandomExpressionsMatchTreeWalkBitForBit) {
   }
 }
 
+TEST(ExprProgram, StackEvalMatchesCompiledOnLargeAndNonFiniteTrees) {
+  // Expr::eval's value stack against the compiled program on deep random
+  // trees, with Inf and NaN inputs on top of random_dataset's overflow
+  // fodder, so non-finite intermediates flow through every operator.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  util::Rng rng(20261018);
+  Dataset data = random_dataset(rng, 3, 24);
+  data.add_row({kInf, kNaN, -kInf}, {1.0});
+  data.add_row({kNaN, 1e300, 0.0}, {1.0});
+  data.add_row({-kInf, 1e-300, kInf}, {1.0});
+  for (int trial = 0; trial < 150; ++trial) {
+    const int depth = 3 + static_cast<int>(rng.uniform_int(8));
+    expect_bitwise_match(Expr::random(rng, 3, depth), data,
+                         "trial " + std::to_string(trial));
+  }
+  // (x0*x0 - x0*x0) is NaN for infinite x0 and feeds log and div in the
+  // middle of the tree.
+  const Expr sq = Expr::binary(Op::kMul, Expr::variable(0), Expr::variable(0));
+  const Expr nan_mid = Expr::binary(
+      Op::kDiv, Expr::unary(Op::kLog, Expr::binary(Op::kSub, sq, sq)),
+      Expr::variable(1));
+  expect_bitwise_match(nan_mid, data, "nan intermediate");
+  // A left-deep sum of 100 terms: 401 nodes, and 100 values on the stack
+  // at once, past Expr::eval's on-stack buffer, so the heap path runs.
+  Expr sum = Expr::variable(0);
+  for (int i = 0; i < 100; ++i)
+    sum = Expr::binary(Op::kAdd, sum,
+                       Expr::binary(Op::kMul, Expr::variable(i % 3),
+                                    Expr::constant(0.5 + i)));
+  ASSERT_EQ(sum.size(), 401u);
+  expect_bitwise_match(sum, data, "spilled stack");
+}
+
 TEST(ExprProgram, DivisionGuardMatchesAtTheThreshold) {
   // x0 / x1 with denominators exactly at, just under, and just over 1e-9.
   const Expr expr = Expr::binary(Op::kDiv, Expr::variable(0),

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
+#include "apps/kernels.hpp"
+#include "apps/testbed.hpp"
 #include "model/fitting.hpp"
 #include "util/rng.hpp"
 
@@ -123,6 +126,100 @@ TEST(SymReg, BadConfigRejected) {
 TEST(SymReg, ExprModelClampsNegative) {
   const ExprModel m(Expr::constant(1.0), 1.0, -5.0, {"a"});
   EXPECT_DOUBLE_EQ(m.predict(std::vector<double>{0.0}), 0.0);
+}
+
+/// Champions of fixed fits, pinned bit for bit: the default SymRegConfig on
+/// the Table II campaign (seed 2021, the case-study FTI layout) for two
+/// kernels and two fit seeds. Determinism tests only compare a run with
+/// itself; these values guard the RNG draw order of random / crossover /
+/// mutate and the fitness memo across changes to the Expr representation.
+/// `history_hash` is FNV-1a over the bit patterns of best_history.
+struct GoldenFit {
+  const char* kernel;
+  std::uint64_t seed;
+  const char* champion;
+  std::uint64_t train_mape_bits;
+  std::uint64_t test_mape_bits;
+  std::size_t generations_run;
+  std::size_t history_len;
+  std::uint64_t history_hash;
+};
+
+std::uint64_t history_hash(const std::vector<double>& history) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (double v : history) {
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    for (int i = 0; i < 8; ++i) {
+      h ^= (bits >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+TEST(SymRegGolden, ChampionsMatchRecordedFits) {
+  static const GoldenFit kGolden[] = {
+      {"ckpt_l1", 2021,
+       "(mul (sqrt (sqrt (mul (mul (sqrt (var 1)) (mul (add (div (div (var"
+       " 1) (add (div (var 1) (var 0)) (log (sqrt (var 1))))) (const"
+       " 0.11191345435270124)) (mul (var 0) (var 1))) (var 0))) (const"
+       " 0.30743977450334753)))) (add (sub (mul (var 0) (var 0)) (add (var"
+       " 1) (add (div (var 1) (var 0)) (log (var 1))))) (mul (mul (var 0)"
+       " (var 0)) (mul (var 0) (sqrt (var 1))))))",
+       0x401ee95950f7c0aeull, 0x401973012ccf9527ull, 50, 120,
+       0x497409f149dc0713ull},
+      {"ckpt_l1", 2022,
+       "(mul (mul (sub (const 0.88431301220300296) (var 0)) (div (sub (log"
+       " (mul (mul (const 0.0042562475284815496) (mul (const"
+       " 1.4213204024118224) (var 1))) (mul (var 1) (const"
+       " 0.0082585599157902843)))) (var 0)) (var 1))) (sub (sub (mul (const"
+       " 1.915614968635968e-06) (var 1)) (log (mul (var 1) (sub (const"
+       " 0.00073325343383455889) (add (var 1) (const"
+       " 5.8046063367524168)))))) (mul (mul (const 0.0067873946599138289)"
+       " (var 1)) (mul (var 0) (var 1)))))",
+       0x403197e7015be616ull, 0x402dcd5fda252093ull, 120, 120,
+       0xba35f31a5e0631f8ull},
+      {"lulesh_timestep", 2021,
+       "(mul (add (add (mul (var 0) (mul (const 45.037576076663683) (mul"
+       " (const 3.2865841768310835) (var 0)))) (mul (mul (mul (var 0) (var"
+       " 0)) (const 4.3157905530380036)) (sqrt (sqrt (mul (sub (sqrt (sqrt"
+       " (var 0))) (var 1)) (const 6.7115791566717009)))))) (mul (add (div"
+       " (var 0) (sqrt (sqrt (var 0)))) (var 1)) (log (var 0)))) (div (var"
+       " 0) (sqrt (sqrt (var 0)))))",
+       0x40099a3c42d762a5ull, 0x400ae2a7a4ed7173ull, 120, 120,
+       0x4e2d43fd57185476ull},
+      {"lulesh_timestep", 2022,
+       "(mul (var 0) (sqrt (mul (add (mul (sub (var 1) (var 0)) (div (const"
+       " 0.00187490488086193) (log (var 0)))) (log (add (mul (mul (var 0)"
+       " (sqrt (mul (sub (var 1) (var 0)) (div (const"
+       " 0.0018000895647378311) (log (var 0)))))) (var 0)) (var 0)))) (mul"
+       " (var 0) (mul (var 0) (var 0))))))",
+       0x400957c0a356642eull, 0x4001ef58ced7f9a7ull, 120, 120,
+       0x010cbcafaf9f73c4ull},
+  };
+  ft::FtiConfig fti;
+  fti.group_size = 4;
+  fti.node_size = 2;
+  apps::CampaignSpec spec;
+  spec.seed = 2021;
+  const auto data = apps::run_campaign(
+      apps::QuartzTestbed({}, fti), spec,
+      {apps::kLuleshTimestep, apps::checkpoint_kernel(ft::Level::kL1)});
+  for (const GoldenFit& g : kGolden) {
+    SCOPED_TRACE(std::string(g.kernel) + " seed " + std::to_string(g.seed));
+    util::Rng rng(g.seed);
+    const auto [train, test] = data.at(g.kernel).split(0.8, rng);
+    SymRegConfig cfg;
+    cfg.seed = g.seed;
+    const SymRegResult res = SymbolicRegressor(cfg).fit(train, test);
+    ASSERT_TRUE(res.model);
+    EXPECT_EQ(res.model->expr().to_sexpr(), g.champion);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(res.train_mape), g.train_mape_bits);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(res.test_mape), g.test_mape_bits);
+    EXPECT_EQ(res.generations_run, g.generations_run);
+    EXPECT_EQ(res.best_history.size(), g.history_len);
+    EXPECT_EQ(history_hash(res.best_history), g.history_hash);
+  }
 }
 
 TEST(Fitting, AutoPicksAWorkingModel) {
