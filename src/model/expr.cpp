@@ -1,6 +1,7 @@
 #include "model/expr.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
@@ -27,13 +28,14 @@ std::size_t subtree_end(std::span<const ExprNode> nodes, std::size_t i) {
   return i;
 }
 
-/// `nodes` with the subtree at `site` replaced by what `fill` appends.
+/// Overwrite `out` with `nodes`, the subtree at `site` replaced by what
+/// `fill` appends to `out`. Reuses `out`'s storage, so breeding into a
+/// recycled Expr allocates nothing once it has held a tree as large.
 template <typename Fill>
-Nodes splice(const Nodes& nodes, std::size_t site, Fill fill) {
-  Nodes out(nodes.begin(), nodes.begin() + site);
+void splice_into(const Nodes& nodes, std::size_t site, Nodes& out, Fill fill) {
+  out.assign(nodes.begin(), nodes.begin() + site);
   fill(out);
   out.insert(out.end(), nodes.begin() + subtree_end(nodes, site), nodes.end());
-  return out;
 }
 
 /// Append `e`'s nodes as an operand; an empty operand is the constant 0.
@@ -157,48 +159,74 @@ Expr Expr::random(util::Rng& rng, std::size_t num_vars, int max_depth) {
   return e;
 }
 
-Expr Expr::crossover(const Expr& a, const Expr& b, util::Rng& rng,
-                     std::size_t max_nodes) {
-  if (a.empty() || b.empty()) return a.clone();
+void Expr::crossover_into(const Expr& a, const Expr& b, util::Rng& rng,
+                          std::size_t max_nodes, Expr& out) {
+  assert(&out != &a && &out != &b);
+  if (a.empty() || b.empty()) {
+    out = a;
+    return;
+  }
   // Pre-order indices: the site is drawn from `a`, then the donor from `b`.
   const std::size_t site = rng.uniform_int(a.size());
   const std::size_t donor = rng.uniform_int(b.size());
-  Expr child;
-  child.nodes_ = splice(a.nodes_, site, [&](Nodes& out) {
-    out.insert(out.end(), b.nodes_.begin() + donor,
-               b.nodes_.begin() + subtree_end(b.nodes_, donor));
+  splice_into(a.nodes_, site, out.nodes_, [&](Nodes& nodes) {
+    nodes.insert(nodes.end(), b.nodes_.begin() + donor,
+                 b.nodes_.begin() + subtree_end(b.nodes_, donor));
   });
-  return child.size() > max_nodes ? a.clone() : child;
+  if (out.size() > max_nodes) out = a;
+}
+
+void Expr::mutate_into(const Expr& e, util::Rng& rng, std::size_t num_vars,
+                       int max_depth, std::size_t max_nodes, Expr& out) {
+  assert(&out != &e);
+  out.nodes_.clear();
+  if (e.empty()) {
+    random_node(rng, num_vars, std::max(1, max_depth), out.nodes_);
+    return;
+  }
+  const std::size_t site = rng.uniform_int(e.size());
+  const double roll = rng.uniform();
+  const Op op = e.nodes_[site].op;
+  const bool jitter = op == Op::kConst && roll < 0.6;
+  if (!jitter && roll < 0.5) {
+    // Regrow the subtree.
+    splice_into(e.nodes_, site, out.nodes_, [&](Nodes& nodes) {
+      random_node(rng, num_vars, std::max(1, max_depth - 1), nodes);
+    });
+  } else {
+    out = e;
+    ExprNode& n = out.nodes_[site];
+    if (jitter) {
+      // Jitter the constant multiplicatively (and occasionally re-draw).
+      n.value = rng.uniform() < 0.15
+                    ? random_constant(rng)
+                    : n.value * std::exp(rng.normal(0.0, 0.3));
+    } else if (is_binary(op)) {
+      constexpr Op kBinary[] = {Op::kAdd, Op::kSub, Op::kMul, Op::kDiv};
+      n.op = kBinary[rng.uniform_int(4)];
+    } else if (is_unary(op)) {
+      n.op = op == Op::kLog ? Op::kSqrt : Op::kLog;
+    } else if (op == Op::kVar && num_vars > 0) {
+      n.var = static_cast<std::uint32_t>(rng.uniform_int(num_vars));
+    } else {
+      n.value = random_constant(rng);
+    }
+  }
+  if (out.size() > max_nodes) out = e;
+}
+
+Expr Expr::crossover(const Expr& a, const Expr& b, util::Rng& rng,
+                     std::size_t max_nodes) {
+  Expr child;
+  crossover_into(a, b, rng, max_nodes, child);
+  return child;
 }
 
 Expr Expr::mutate(const Expr& e, util::Rng& rng, std::size_t num_vars,
                   int max_depth, std::size_t max_nodes) {
-  if (e.empty()) return Expr::random(rng, num_vars, max_depth);
-  const std::size_t site = rng.uniform_int(e.size());
-  const double roll = rng.uniform();
-  const Op op = e.nodes_[site].op;
-  Expr out = e;
-  ExprNode& n = out.nodes_[site];
-  if (op == Op::kConst && roll < 0.6) {
-    // Jitter the constant multiplicatively (and occasionally re-draw).
-    n.value = rng.uniform() < 0.15 ? random_constant(rng)
-                                   : n.value * std::exp(rng.normal(0.0, 0.3));
-  } else if (roll < 0.5) {
-    // Regrow the subtree.
-    out.nodes_ = splice(e.nodes_, site, [&](Nodes& nodes) {
-      random_node(rng, num_vars, std::max(1, max_depth - 1), nodes);
-    });
-  } else if (is_binary(op)) {
-    constexpr Op kBinary[] = {Op::kAdd, Op::kSub, Op::kMul, Op::kDiv};
-    n.op = kBinary[rng.uniform_int(4)];
-  } else if (is_unary(op)) {
-    n.op = op == Op::kLog ? Op::kSqrt : Op::kLog;
-  } else if (op == Op::kVar && num_vars > 0) {
-    n.var = static_cast<std::uint32_t>(rng.uniform_int(num_vars));
-  } else {
-    n.value = random_constant(rng);
-  }
-  return out.size() > max_nodes ? e.clone() : out;
+  Expr child;
+  mutate_into(e, rng, num_vars, max_depth, max_nodes, child);
+  return child;
 }
 
 double Expr::eval(std::span<const double> vars) const {

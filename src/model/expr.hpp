@@ -4,8 +4,9 @@
 // An Expr stores its tree as one flat pre-order array of POD nodes: each
 // operator node is followed by its operand subtrees, lhs first. A subtree
 // is therefore a contiguous span, so copying is one vector copy, size() is
-// O(1), and crossover/mutation are span splices — the GP loop breeds
-// thousands of trees per generation and never allocates per node.
+// O(1), and crossover/mutation are span splices written into a recycled
+// Expr — the GP loop breeds thousands of trees per generation and, once
+// its two populations have warmed up, allocates nothing.
 //
 // Operators are "protected" in the usual GP sense (division by ~0 returns
 // the numerator, log/sqrt take magnitudes) so that every tree is total over
@@ -65,13 +66,20 @@ class Expr {
   /// Grow-method random tree over `num_vars` variables.
   [[nodiscard]] static Expr random(util::Rng& rng, std::size_t num_vars,
                                    int max_depth);
-  /// Subtree crossover: a copy of `a` with a random subtree replaced by a
-  /// random subtree of `b`. Result exceeding `max_nodes` falls back to a
-  /// clone of `a`.
+  /// Subtree crossover: `out` becomes a copy of `a` with a random subtree
+  /// replaced by a random subtree of `b`, or a copy of `a` if that would
+  /// exceed `max_nodes`. `out` must not be `a` or `b`; its storage is
+  /// reused, so the GP loop breeds each child into the Expr it replaces.
+  static void crossover_into(const Expr& a, const Expr& b, util::Rng& rng,
+                             std::size_t max_nodes, Expr& out);
+  /// Point/subtree mutation of `e` into `out` (constant jitter, operator
+  /// swap, or subtree regrowth), or a copy of `e` if the result would
+  /// exceed `max_nodes`. `out` must not be `e`; its storage is reused.
+  static void mutate_into(const Expr& e, util::Rng& rng, std::size_t num_vars,
+                          int max_depth, std::size_t max_nodes, Expr& out);
+  /// crossover_into / mutate_into returning a fresh Expr (same RNG draws).
   [[nodiscard]] static Expr crossover(const Expr& a, const Expr& b,
                                       util::Rng& rng, std::size_t max_nodes);
-  /// Point/subtree mutation (constant jitter, operator swap, or subtree
-  /// regrowth).
   [[nodiscard]] static Expr mutate(const Expr& e, util::Rng& rng,
                                    std::size_t num_vars, int max_depth,
                                    std::size_t max_nodes);

@@ -39,17 +39,31 @@ inline std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 /// structurally identical subtrees reach identical operand descriptors by
 /// induction), a candidate instruction duplicates an earlier computation
 /// exactly when an emitted instruction has the same (op, operand sources,
-/// operand indices, literal bits). Dedup is a linear scan over the emitted
-/// code — GP trees are tiny (max_nodes ~48), so a scan over a contiguous
-/// POD array beats any node-allocating map by a wide margin, and
-/// compilation happens once per individual per generation, squarely on the
-/// calibration hot path. (Worst case is quadratic in distinct subterms; at
-/// the 65535-term limit that would matter, but such expressions are
-/// rejected anyway.) Literals are matched by bit pattern so +0.0/-0.0 and
-/// NaN payloads (possible results of folding) stay distinct and
-/// reproducible.
+/// operand indices, literal bits). Those fields are hashed into an
+/// open-addressing table of code indices (linear probing, load at most
+/// 1/2, sized from the tree so it never fills) and a hit is confirmed by
+/// comparing the fields exactly, so lookup is expected O(1) up to the
+/// 65535-term limit and the emitted code is the same as any exact
+/// duplicate search would give. The table lives in ExprProgram's scratch
+/// vector, so a recycled program compiles without allocating. Literals
+/// are matched by bit pattern so +0.0/-0.0 and NaN payloads (possible
+/// results of folding) stay distinct and reproducible.
 class Compiler {
  public:
+  /// Sizes the CSE table in `scratch` for a tree of `tree_nodes` nodes,
+  /// which emits at most that many instructions (and never more than the
+  /// 65535-register limit lets through before throwing).
+  Compiler(std::size_t tree_nodes, std::vector<std::uint32_t>& scratch) {
+    const std::size_t entries =
+        std::min<std::size_t>(tree_nodes, std::size_t{1} << 16);
+    const std::size_t slots =
+        std::bit_ceil(std::max<std::size_t>(16, 2 * entries));
+    scratch.assign(slots, 0);
+    table_ = scratch;
+    mask_ = slots - 1;
+    shift_ = 64 - std::countr_zero(slots);
+  }
+
   struct Value {
     enum Kind : std::uint8_t { kConstV, kColV, kRegV };
     Kind kind = kConstV;
@@ -142,29 +156,43 @@ class Compiler {
     }
   }
 
-  std::uint32_t emit_or_find(const ProgInstr& instr,
-                             const std::vector<ProgInstr>& code) {
-    for (const ProgInstr& e : code) {
-      if (e.op == instr.op && e.a_src == instr.a_src &&
-          e.b_src == instr.b_src && e.a == instr.a && e.b == instr.b &&
-          bits(e.value) == bits(instr.value))
-        return e.dst;
-    }
-    return kNotFound;
+  static bool same_key(const ProgInstr& x, const ProgInstr& y) {
+    return x.op == y.op && x.a_src == y.a_src && x.b_src == y.b_src &&
+           x.a == y.a && x.b == y.b && bits(x.value) == bits(y.value);
+  }
+
+  /// Home slot of `instr`: its key fields packed into one word, mixed with
+  /// the literal bits, and the top bits of a multiplicative hash.
+  std::size_t home_slot(const ProgInstr& instr) const {
+    const std::uint64_t fields =
+        static_cast<std::uint64_t>(instr.op) |
+        static_cast<std::uint64_t>(instr.a_src) << 8 |
+        static_cast<std::uint64_t>(instr.b_src) << 16 |
+        static_cast<std::uint64_t>(instr.a) << 24 |
+        static_cast<std::uint64_t>(instr.b) << 40;
+    const std::uint64_t h =
+        (fields * 0x9e3779b97f4a7c15ull ^ bits(instr.value)) *
+        0xd6e8feb86659fd93ull;
+    return static_cast<std::size_t>(h >> shift_);
   }
 
   std::uint16_t emit(ProgInstr instr, std::vector<ProgInstr>& code) {
-    if (const std::uint32_t existing = emit_or_find(instr, code);
-        existing != kNotFound)
-      return static_cast<std::uint16_t>(existing);
+    std::size_t slot = home_slot(instr);
+    for (; table_[slot] != 0; slot = (slot + 1) & mask_) {
+      const ProgInstr& e = code[table_[slot] - 1];
+      if (same_key(e, instr)) return e.dst;
+    }
     if (next_ >= std::numeric_limits<std::uint16_t>::max())
       throw std::length_error("expression exceeds 65535 distinct subterms");
     instr.dst = static_cast<std::uint16_t>(next_++);
+    table_[slot] = static_cast<std::uint32_t>(code.size()) + 1;
     code.push_back(instr);
     return instr.dst;
   }
 
-  static constexpr std::uint32_t kNotFound = 0xffffffffu;
+  std::span<std::uint32_t> table_;  // code index + 1 per slot; 0 = empty
+  std::size_t mask_ = 0;
+  int shift_ = 0;
   std::uint32_t next_ = 0;
 };
 
@@ -182,25 +210,17 @@ inline bool prog_is_arith(Op op) {
 /// the emitted code — no data- or thread-dependent choices — so programs
 /// stay deterministic.
 void fuse_unaries(std::vector<ProgInstr>& code, std::uint16_t root,
-                  std::uint16_t num_regs) {
+                  std::uint16_t num_regs, std::span<std::uint32_t> scratch) {
   if (code.size() < 2) return;
-  // This runs once per individual per generation; GP programs fit the
-  // stack buffers (max_nodes ~48), so the common case does no allocation.
-  constexpr std::size_t kStackRegs = 128;
-  std::uint8_t uses_stack[kStackRegs];
-  std::int32_t prod_stack[kStackRegs];
-  std::vector<std::uint8_t> uses_heap;
-  std::vector<std::int32_t> prod_heap;
-  std::uint8_t* uses = uses_stack;
-  std::int32_t* producer = prod_stack;
-  if (num_regs > kStackRegs) {
-    uses_heap.resize(num_regs);
-    prod_heap.resize(num_regs);
-    uses = uses_heap.data();
-    producer = prod_heap.data();
-  }
-  std::fill_n(uses, num_regs, std::uint8_t{0});
-  std::fill_n(producer, num_regs, -1);
+  // Per register: a use count capped at 2, and the compacted index of its
+  // producer (kNone before one is placed). Reuses the compiler's table,
+  // which has at least twice as many slots as there are registers.
+  constexpr std::uint32_t kNone = 0xffffffffu;
+  assert(scratch.size() >= 2 * std::size_t{num_regs});
+  std::uint32_t* const uses = scratch.data();
+  std::uint32_t* const producer = uses + num_regs;
+  std::fill_n(uses, num_regs, 0u);
+  std::fill_n(producer, num_regs, kNone);
   for (const ProgInstr& in : code) {
     if (prog_is_arith(in.op)) {
       if (in.a_src == Src::kReg && uses[in.a] < 2) ++uses[in.a];
@@ -219,8 +239,8 @@ void fuse_unaries(std::vector<ProgInstr>& code, std::uint16_t root,
     const ProgInstr in = code[k];
     if ((in.op == Op::kLog || in.op == Op::kSqrt) && in.post == Post::kNone &&
         in.a_src == Src::kReg && uses[in.a] == 1) {
-      if (const std::int32_t j = producer[in.a]; j >= 0) {
-        ProgInstr& pj = code[static_cast<std::size_t>(j)];
+      if (const std::uint32_t j = producer[in.a]; j != kNone) {
+        ProgInstr& pj = code[j];
         if (prog_is_arith(pj.op) && pj.post == Post::kNone) {
           pj.post = in.op == Op::kLog ? Post::kLog : Post::kSqrt;
           pj.dst = in.dst;
@@ -229,7 +249,7 @@ void fuse_unaries(std::vector<ProgInstr>& code, std::uint16_t root,
         }
       }
     }
-    producer[in.dst] = static_cast<std::int32_t>(w);
+    producer[in.dst] = static_cast<std::uint32_t>(w);
     code[w++] = in;
   }
   code.resize(w);
@@ -316,14 +336,14 @@ void ExprProgram::compile_into(const Expr& expr, ExprProgram& out) {
   out.root_ = 0;
   out.tree_nodes_ = 0;
   if (expr.empty()) return;
-  Compiler compiler;
+  Compiler compiler(expr.size(), out.scratch_);
   std::size_t pos = 0;
   const Compiler::Value root =
       compiler.compile_node(expr.nodes(), pos, out.code_);
   out.root_ = compiler.materialize(root, out.code_);
   out.regs_ = compiler.next_reg();
   out.tree_nodes_ = expr.size();
-  fuse_unaries(out.code_, out.root_, out.regs_);
+  fuse_unaries(out.code_, out.root_, out.regs_, out.scratch_);
 }
 
 void ExprProgram::eval_dataset(const Dataset& data, std::vector<double>& out,

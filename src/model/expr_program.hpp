@@ -5,10 +5,11 @@
 // every dataset row. Interpreting the `Expr` nodes per row (one switch
 // per node per row) is what Expr::eval does; an ExprProgram instead
 // lowers the tree once into a flat register program — with compile-time
-// constant folding and common-subexpression elimination over the tree's
-// DAG — and evaluates it column-wise over the structure-of-arrays view of a Dataset. The inner
-// loop is then one opcode switch per *instruction*, each running a tight
-// vectorizable pass over contiguous doubles.
+// constant folding and common-subexpression elimination (a hash table of
+// the instructions emitted so far, confirmed by an exact field compare) —
+// and evaluates it column-wise over the structure-of-arrays view of a
+// Dataset. The inner loop is then one opcode switch per *instruction*,
+// each running a tight vectorizable pass over contiguous doubles.
 //
 // Semantics contract: ExprProgram::eval_* is bit-identical to calling
 // Expr::eval row by row, including the protected-operator behaviour
@@ -97,8 +98,10 @@ class ExprProgram {
   /// distinct subexpressions.
   [[nodiscard]] static ExprProgram compile(const Expr& expr);
 
-  /// As compile(), but reuses `out`'s storage (cleared, capacity kept).
-  /// The population loop lowers thousands of programs per generation;
+  /// As compile(), but reuses `out`'s storage (cleared, capacity kept),
+  /// including its CSE table, so lowering is expected O(1) per node and
+  /// allocates nothing once `out` has compiled a tree as large. The
+  /// population loop lowers thousands of programs per generation;
   /// recycling one ExprProgram per worker keeps that loop malloc-free.
   static void compile_into(const Expr& expr, ExprProgram& out);
 
@@ -124,6 +127,8 @@ class ExprProgram {
   std::uint16_t regs_ = 0;      // registers used
   std::uint16_t root_ = 0;      // register holding the root's value
   std::size_t tree_nodes_ = 0;
+  // compile_into's CSE table and unary-fusion counts, kept between compiles.
+  std::vector<std::uint32_t> scratch_;
 };
 
 }  // namespace ftbesst::model

@@ -6,9 +6,9 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
+#include "model/key_index.hpp"
 #include "obs/obs.hpp"
 #include "util/stats.hpp"
 #include "util/task_pool.hpp"
@@ -230,81 +230,77 @@ SymRegResult SymbolicRegressor::fit(const Dataset& train,
     bool evaluated = false;
   };
 
-  // Fitness memo across the whole run, keyed by fitness_memo_key()
-  // (structurally unique, so hits are exact — no hash collision
-  // can hand an individual someone else's fitness). Crossover and mutation
+  // Fitness memo across the whole run: `memo_index` gives every distinct
+  // fitness_memo_key() (exact bytes, so a hit is never another
+  // expression's fitness) a dense index into `memo`. Crossover and mutation
   // re-create the same offspring constantly; a memo hit skips the whole
-  // compile + batch-eval + scaling pipeline. An entry is inserted when its
-  // key is first met and filled once its batch has been evaluated.
+  // compile + batch-eval + scaling pipeline. The entries a batch inserts
+  // are filled once that batch has been evaluated, so an index below the
+  // batch's first new entry is a ready result.
   struct Evaluated {
     ScaledFit fit;
     double fitness = 0.0;
-    bool ready = false;      // false until its first batch is evaluated
-    std::uint32_t slot = 0;  // that batch's Pending index
   };
-  std::unordered_map<std::string, Evaluated> memo;
+  KeyIndex memo_index;
+  std::vector<Evaluated> memo;
   std::string key;  // reused for every lookup
+  // Per batch, reused: the expression of each new entry (entry
+  // first_new + p), and every (individual, entry) pair waiting on one.
+  std::vector<const Expr*> work;
+  std::vector<std::pair<std::size_t, std::uint32_t>> waiting;
 
-  // Evaluate every not-yet-evaluated individual in `pop`: memo lookups and
+  // Evaluate every not-yet-evaluated individual in `inds`: memo lookups and
   // memo insertion run serially (deterministic order), the expensive
   // compile + column-wise evaluation runs on the pool with results written
-  // to per-candidate memo slots — bit-identical for any worker count.
+  // to per-candidate memo entries — bit-identical for any worker count.
   auto evaluate_population = [&](std::vector<Individual>& inds) {
     FTBESST_OBS_SPAN("model.symreg.evaluate");
     std::uint64_t memo_hits = 0;
-    struct Pending {
-      const Expr* expr = nullptr;
-      Evaluated* entry = nullptr;  // unordered_map nodes never move
-      std::vector<std::size_t> targets;  // individuals sharing this key
-    };
-    std::vector<Pending> pending;
+    const std::size_t first_new = memo.size();
+    work.clear();
+    waiting.clear();
     for (std::size_t i = 0; i < inds.size(); ++i) {
       if (inds[i].evaluated) continue;
       fitness_memo_key(inds[i].expr, key);
-      const auto [it, fresh] = memo.try_emplace(key);
-      Evaluated& entry = it->second;
-      if (entry.ready) {
-        inds[i].fit = entry.fit;
-        inds[i].fitness = entry.fitness;
+      const auto [entry, inserted] =
+          memo_index.find_or_insert(key, hash_bytes(key));
+      if (entry < first_new) {
+        inds[i].fit = memo[entry].fit;
+        inds[i].fitness = memo[entry].fitness;
         inds[i].evaluated = true;
         ++memo_hits;
         continue;
       }
-      if (fresh) {
-        entry.slot = static_cast<std::uint32_t>(pending.size());
-        pending.push_back(Pending{&inds[i].expr, &entry, {}});
-      }
-      pending[entry.slot].targets.push_back(i);
+      if (inserted) work.push_back(&inds[i].expr);
+      waiting.emplace_back(i, entry);
     }
+    memo.resize(memo_index.size());
 
     util::parallel_for(
-        pending.size(),
+        work.size(),
         [&](std::size_t p) {
           // Reused across candidates claimed by the same worker thread.
           thread_local std::vector<double> f;
           thread_local EvalScratch scratch;
           thread_local ExprProgram prog;
-          const Pending& work = pending[p];
-          ExprProgram::compile_into(*work.expr, prog);
+          const Expr& expr = *work[p];
+          ExprProgram::compile_into(expr, prog);
           eval_rows(prog, train, f, scratch);
-          Evaluated& result = *work.entry;
+          Evaluated& result = memo[first_new + p];
           result.fit = linear_scale_fit(f, ry);
           result.fitness =
               result.fit.mape +
-              config_.parsimony * static_cast<double>(work.expr->size());
+              config_.parsimony * static_cast<double>(expr.size());
         },
         pool);
 
-    for (const Pending& work : pending) {
-      work.entry->ready = true;
-      for (std::size_t i : work.targets) {
-        inds[i].fit = work.entry->fit;
-        inds[i].fitness = work.entry->fitness;
-        inds[i].evaluated = true;
-      }
+    for (const auto& [i, entry] : waiting) {
+      inds[i].fit = memo[entry].fit;
+      inds[i].fitness = memo[entry].fitness;
+      inds[i].evaluated = true;
     }
     if (obs::enabled()) {
-      obs_evals.add(pending.size());
+      obs_evals.add(work.size());
       obs_memo_hits.add(memo_hits);
     }
   };
@@ -346,13 +342,14 @@ SymRegResult SymbolicRegressor::fit(const Dataset& train,
   double champion_score = std::numeric_limits<double>::infinity();
   std::vector<double> test_buf;
   EvalScratch test_scratch;
+  ExprProgram test_prog;
 
   auto consider_champion = [&](const Individual& ind, std::size_t gen) {
     double test_mape = ind.fit.mape;
     if (!test.empty()) {
-      const ExprProgram prog = ExprProgram::compile(ind.expr);
-      test_mape = mape_with_scaling(prog, test, ind.fit.scale, ind.fit.offset,
-                                    test_buf, test_scratch);
+      ExprProgram::compile_into(ind.expr, test_prog);
+      test_mape = mape_with_scaling(test_prog, test, ind.fit.scale,
+                                    ind.fit.offset, test_buf, test_scratch);
     }
     // Champion selection blends training and held-out accuracy: test rows
     // are few, so pure test selection is noisy, and pure train selection
@@ -372,6 +369,12 @@ SymRegResult SymbolicRegressor::fit(const Dataset& train,
     }
   };
 
+  // Two populations, swapped every generation: each child is bred into the
+  // recycled Expr of the slot it replaces, so breeding allocates nothing
+  // once every slot has held a tree of max_nodes.
+  std::vector<Individual> next(pop.size());
+  std::vector<const Individual*> ranked;
+  ranked.reserve(pop.size());
   for (std::size_t gen = 0; gen < config_.generations; ++gen) {
     auto best_it =
         std::min_element(pop.begin(), pop.end(),
@@ -386,51 +389,44 @@ SymRegResult SymbolicRegressor::fit(const Dataset& train,
     consider_champion(*best_it, gen);
     if (best_it->fit.mape < config_.target_train_mape) break;
 
-    std::vector<Individual> next;
     {
       FTBESST_OBS_SPAN("model.symreg.vary");
-      next.reserve(pop.size());
       // Elitism: carry the best few unchanged.
-      std::vector<const Individual*> ranked;
-      ranked.reserve(pop.size());
+      ranked.clear();
       for (const auto& ind : pop) ranked.push_back(&ind);
+      const std::size_t elites = std::min(config_.elitism, ranked.size());
       std::partial_sort(ranked.begin(),
-                        ranked.begin() + static_cast<std::ptrdiff_t>(std::min(
-                                             config_.elitism, ranked.size())),
+                        ranked.begin() + static_cast<std::ptrdiff_t>(elites),
                         ranked.end(),
                         [](const Individual* a, const Individual* b) {
                           return a->fitness < b->fitness;
                         });
-      const std::size_t elites = std::min(config_.elitism, ranked.size());
-      for (std::size_t e = 0; e < elites; ++e) {
-        Individual copy;
-        copy.expr = ranked[e]->expr.clone();
-        copy.fit = ranked[e]->fit;
-        copy.fitness = ranked[e]->fitness;
-        copy.evaluated = true;
-        next.push_back(std::move(copy));
-      }
+      for (std::size_t e = 0; e < elites; ++e) next[e] = *ranked[e];
 
       // Breeding consumes the RNG serially (selection depends only on the
       // previous generation's fitness), so the offspring set is independent
       // of the evaluation schedule; fitness happens afterwards in one batch.
-      while (next.size() < pop.size()) {
+      for (std::size_t k = elites; k < next.size(); ++k) {
+        Individual& child = next[k];
+        child.evaluated = false;
         const double roll = rng.uniform();
-        Individual child;
         if (roll < config_.crossover_prob) {
-          child.expr = Expr::crossover(tournament().expr, tournament().expr,
-                                       rng, config_.max_nodes);
+          // The second parent is drawn first: the order in which GCC
+          // evaluated the arguments of the former one-call form.
+          const Expr& second = tournament().expr;
+          const Expr& first = tournament().expr;
+          Expr::crossover_into(first, second, rng, config_.max_nodes,
+                               child.expr);
         } else if (roll < config_.crossover_prob + config_.mutation_prob) {
-          child.expr = Expr::mutate(tournament().expr, rng, num_vars,
-                                    config_.max_depth, config_.max_nodes);
+          Expr::mutate_into(tournament().expr, rng, num_vars,
+                            config_.max_depth, config_.max_nodes, child.expr);
         } else {
-          child.expr = tournament().expr.clone();
+          child.expr = tournament().expr;
         }
-        next.push_back(std::move(child));
       }
     }
     evaluate_population(next);
-    pop = std::move(next);
+    std::swap(pop, next);
   }
   // Final population sweep.
   for (const auto& ind : pop) consider_champion(ind, config_.generations);

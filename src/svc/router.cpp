@@ -340,9 +340,10 @@ void Router::execute(ProxyJob job) {
   // and reaches the in_flight_ decrement.
   const auto finish = [this](const std::shared_ptr<Conn>& conn,
                              std::string_view payload) {
-    conn->send_frame(payload, options_.max_frame_bytes);
+    // Counted before the reply goes out (see Server::execute).
     completed_.fetch_add(1, std::memory_order_relaxed);
     metrics().completed.add();
+    conn->send_frame(payload, options_.max_frame_bytes);
   };
   try {
     Json request;

@@ -321,9 +321,9 @@ void Server::execute(const std::shared_ptr<Conn>& conn, std::string frame,
       JsonObject result;
       result.emplace("draining", Json(true));
       payload = ok_payload(false, Json(std::move(result)).dump());
-      conn->send_frame(payload, options_.max_frame_bytes);
       completed_.fetch_add(1, std::memory_order_relaxed);
       metrics().completed.add();
+      conn->send_frame(payload, options_.max_frame_bytes);
       in_flight_.fetch_sub(1, std::memory_order_acq_rel);
       shutdown();
       return;
@@ -422,9 +422,11 @@ void Server::execute(const std::shared_ptr<Conn>& conn, std::string frame,
       return;
     }
 
-    conn->send_frame(payload, options_.max_frame_bytes);
+    // Counted before the reply goes out, so a client holding its reply
+    // never reads a `stats` that does not include it yet.
     completed_.fetch_add(1, std::memory_order_relaxed);
     metrics().completed.add();
+    conn->send_frame(payload, options_.max_frame_bytes);
     metrics().request_seconds.observe(
         static_cast<double>(obs::now_ns() - arrival_ns) * 1e-9);
   } catch (const std::exception& e) {

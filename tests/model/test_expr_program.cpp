@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
 
 #include "model/expr_simd.hpp"
 #include "model/feature_model.hpp"
@@ -209,6 +213,76 @@ TEST(ExprProgram, CommonSubexpressionsComputedOnce) {
   const ExprProgram prog = ExprProgram::compile(expr);
   EXPECT_EQ(prog.tree_nodes(), 7u);
   EXPECT_EQ(prog.num_instructions(), 2u);
+}
+
+TEST(ExprProgram, CompiledShapesAndBitsMatchRecorded) {
+  // FNV-1a over (num_instructions, num_registers) and the eval_dataset bits
+  // of 300 programs, recorded with the linear-scan CSE compiler: CSE only
+  // merges exact duplicates, so any lookup structure must emit the same
+  // programs. Every third tree is a sum of 40 random terms (well past 128
+  // distinct subterms), and every fifth uses each of its subterms twice.
+  util::Rng rng(20261019);
+  const Dataset data = random_dataset(rng, 3, 16);
+  ExprProgram prog;  // recycled, as the GP loop does
+  std::vector<double> out;
+  EvalScratch scratch;
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  };
+  std::size_t large = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    Expr expr =
+        Expr::random(rng, 3, 1 + static_cast<int>(rng.uniform_int(8)));
+    if (trial % 3 == 2)
+      for (int t = 0; t < 40; ++t)
+        expr = Expr::binary(Op::kAdd, expr, Expr::random(rng, 3, 5));
+    if (trial % 5 == 0)
+      expr = Expr::binary(Op::kMul, expr, Expr::unary(Op::kLog, expr));
+    ExprProgram::compile_into(expr, prog);
+    if (prog.num_instructions() > 128) ++large;
+    mix(prog.num_instructions());
+    mix(prog.num_registers());
+    prog.eval_dataset(data, out, scratch);
+    for (double v : out) mix(std::bit_cast<std::uint64_t>(v));
+  }
+  EXPECT_EQ(large, 100u);  // every sum
+  EXPECT_EQ(h, 0xcde525deeb8e7ae7ull);
+}
+
+/// Balanced sum of the terms x0 * c(i) for i in [lo, hi): 17 levels deep
+/// for 2^16 terms, so compiling it recurses no deeper than that.
+template <typename Literal>
+Expr balanced_sum(std::size_t lo, std::size_t hi, Literal c) {
+  if (hi - lo == 1)
+    return Expr::binary(Op::kMul, Expr::variable(0), Expr::constant(c(lo)));
+  const std::size_t mid = lo + (hi - lo) / 2;
+  return Expr::binary(Op::kAdd, balanced_sum(lo, mid, c),
+                      balanced_sum(mid, hi, c));
+}
+
+TEST(ExprProgram, MoreThan65535DistinctSubtermsThrows) {
+  // 2^16 products with distinct literals plus 2^16 - 1 sums of distinct
+  // operands: past the 16-bit register space.
+  constexpr std::size_t kTerms = std::size_t{1} << 16;
+  const Expr distinct =
+      balanced_sum(0, kTerms, [](std::size_t i) { return 1.0 + double(i); });
+  EXPECT_THROW((void)ExprProgram::compile(distinct), std::length_error);
+  ExprProgram recycled;
+  EXPECT_THROW(ExprProgram::compile_into(distinct, recycled),
+               std::length_error);
+  // The same shape with one literal: CSE leaves one product and one sum
+  // per level, and the recycled program compiles it after the throw.
+  const Expr repeated =
+      balanced_sum(0, kTerms, [](std::size_t) { return 2.0; });
+  ExprProgram::compile_into(repeated, recycled);
+  EXPECT_EQ(recycled.num_instructions(), 17u);
+  EXPECT_EQ(recycled.tree_nodes(), repeated.size());
+  EXPECT_TRUE(bits_equal(recycled.eval(std::array{0.5}),
+                         repeated.eval(std::array{0.5})));
 }
 
 TEST(ExprProgram, ConstantSubtreesFoldAtCompileTime) {

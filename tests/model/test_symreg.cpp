@@ -4,10 +4,13 @@
 
 #include <bit>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "apps/kernels.hpp"
 #include "apps/testbed.hpp"
 #include "model/fitting.hpp"
+#include "model/key_index.hpp"
 #include "util/rng.hpp"
 
 namespace ftbesst::model {
@@ -220,6 +223,64 @@ TEST(SymRegGolden, ChampionsMatchRecordedFits) {
     EXPECT_EQ(res.best_history.size(), g.history_len);
     EXPECT_EQ(history_hash(res.best_history), g.history_hash);
   }
+}
+
+// -- Fitness memo index ------------------------------------------------------
+
+TEST(SymRegMemo, KeysWithEqualHashesStayDistinct) {
+  // Every key gets the same hash, so each lookup probes past all the others
+  // and only the length + byte compare tells them apart: prefixes of one
+  // another, the empty key, and keys differing in one byte.
+  KeyIndex index;
+  std::vector<std::string> keys = {"", "a", "ab", "abc", "abd",
+                                   std::string("abc\0", 4)};
+  for (int i = 0; i < 200; ++i) keys.push_back("k" + std::to_string(i));
+  for (std::size_t k = 0; k < keys.size(); ++k) {
+    const KeyIndex::Lookup got = index.find_or_insert(keys[k], 42);
+    EXPECT_TRUE(got.inserted) << k;
+    EXPECT_EQ(got.index, k);
+  }
+  for (std::size_t k = 0; k < keys.size(); ++k) {
+    const KeyIndex::Lookup got = index.find_or_insert(keys[k], 42);
+    EXPECT_FALSE(got.inserted) << k;
+    EXPECT_EQ(got.index, k);
+  }
+  // A key is only found under its own hash.
+  EXPECT_TRUE(index.find_or_insert("abc", 43).inserted);
+  EXPECT_EQ(index.size(), keys.size() + 1);
+}
+
+TEST(SymRegMemo, EveryKeyFoundAfterGrowth) {
+  // 50000 memo keys of random expressions, inserted through many doublings
+  // of the table. An eighth keep only the top 32 hash bits (all share home
+  // slot 0, so they probe through one long run), another eighth only the
+  // low 32 (all share the slot tag 0); which eighth is a function of the
+  // key, so a repeated key hashes the same.
+  util::Rng rng(2021);
+  std::vector<std::string> keys;
+  std::string key;
+  KeyIndex index;
+  const auto hash_of = [](const std::string& k) {
+    const std::uint64_t h = hash_bytes(k);
+    return h % 8 == 0   ? h & 0xffffffff00000000ull
+           : h % 8 == 1 ? h & 0xffffffffull
+                        : h;
+  };
+  while (keys.size() < 50000) {
+    fitness_memo_key(Expr::random(rng, 3, 6), key);
+    const std::size_t i = keys.size();
+    const KeyIndex::Lookup got = index.find_or_insert(key, hash_of(key));
+    if (!got.inserted) continue;  // a repeat of an earlier random tree
+    EXPECT_EQ(got.index, i);
+    keys.push_back(key);
+  }
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const KeyIndex::Lookup got =
+        index.find_or_insert(keys[i], hash_of(keys[i]));
+    ASSERT_FALSE(got.inserted) << i;
+    ASSERT_EQ(got.index, i);
+  }
+  EXPECT_EQ(index.size(), keys.size());
 }
 
 TEST(Fitting, AutoPicksAWorkingModel) {
